@@ -49,16 +49,76 @@ it exits non-zero on regression, which is the CI gate.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.core.findings import evaluate_findings
 from repro.core.report import format_findings, format_overview
-from repro.errors import ReproError
+from repro.errors import ReproError, SpecificationError
 from repro.experiments import EXPERIMENTS
+from repro.fleet.partition import NUM_CELLS
 from repro.simulate.scenario import SCENARIOS, run_scenario
 from repro.version import __version__
+
+
+# -- argument types ---------------------------------------------------------
+#
+# argparse ``type=`` callables: a bad value becomes argparse's one-line
+# ``error:`` message and exit code 2, never a traceback from deep inside
+# the simulation.
+
+
+def _number(text: str, parse, kind: str):
+    try:
+        return parse(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid %s value: %r" % (kind, text)
+        ) from None
+
+
+def _scale(text: str) -> float:
+    """``--scale``: a finite fleet scale above zero."""
+    scale = _number(text, float, "float")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise argparse.ArgumentTypeError(
+            "must be a finite number > 0, got %r" % text
+        )
+    return scale
+
+
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer."""
+    seed = _number(text, int, "int")
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % seed)
+    return seed
+
+
+def _seeds(text: str) -> Tuple[int, ...]:
+    """``--seeds``: comma-separated non-negative integers."""
+    return tuple(_seed(part) for part in text.split(","))
+
+
+def _jobs(text: str) -> int:
+    """``--jobs``: at least one worker."""
+    jobs = _number(text, int, "int")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % jobs)
+    return jobs
+
+
+def _shard_count(text: str) -> int:
+    """``--shards`` / ``$REPRO_SHARDS``: 1 up to the fleet's hash cells."""
+    shards = _number(text, int, "int")
+    if not 1 <= shards <= NUM_CELLS:
+        raise argparse.ArgumentTypeError(
+            "must be between 1 and %d (the fleet's hash cells), got %d"
+            % (NUM_CELLS, shards)
+        )
+    return shards
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,14 +188,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="KS-gate significance level for the re-simulated CDF check",
     )
     fit_cmd.add_argument(
-        "--seed", type=int, default=0, help="re-simulation seed for the gate"
+        "--seed", type=_seed, default=0, help="re-simulation seed for the gate"
     )
 
     batch_cmd = sub.add_parser(
         "batch", help="multi-seed run: headline metrics with seed spread"
     )
     batch_cmd.add_argument(
-        "--seeds", default="1,2,3", help="comma-separated seeds"
+        "--seeds", type=_seeds, default="1,2,3", help="comma-separated seeds"
     )
     _common(batch_cmd)
 
@@ -245,20 +305,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _common(cmd: argparse.ArgumentParser) -> None:
-    cmd.add_argument("--scale", type=float, default=0.05,
+    cmd.add_argument("--scale", type=_scale, default=0.05,
                      help="fleet scale vs the paper's 39,000 systems")
-    cmd.add_argument("--seed", type=int, default=1, help="root random seed")
+    cmd.add_argument("--seed", type=_seed, default=1, help="root random seed")
     cmd.add_argument(
         "--via-logs",
         action="store_true",
         help="route the dataset through the AutoSupport log pipeline",
     )
     cmd.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
+        "--jobs", type=_jobs, default=1, metavar="N",
         help="worker processes (1 = serial; results are identical)",
     )
     cmd.add_argument(
-        "--shards", type=int, default=None, metavar="N",
+        "--shards", type=_shard_count, default=None, metavar="N",
         help="partition each simulation into N spill-to-disk shards "
         "merged byte-identically (default: $REPRO_SHARDS or 1; pair "
         "with --jobs to run shards in parallel)",
@@ -322,8 +382,14 @@ def _shards(args: argparse.Namespace) -> int:
     from repro import envvars
 
     if getattr(args, "shards", None) is not None:
-        return int(args.shards)
-    return envvars.get_int("REPRO_SHARDS", 1)
+        return args.shards
+    raw = envvars.get("REPRO_SHARDS")
+    if raw is None:
+        return 1
+    try:
+        return _shard_count(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise SpecificationError("$REPRO_SHARDS %s" % exc) from None
 
 
 def _print_metrics(runtime) -> None:
@@ -393,7 +459,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "run":
-        from repro.errors import SpecificationError
         from repro.runtime import Job, Scheduler
 
         ids = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
@@ -511,7 +576,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         from repro.failures.types import FailureType
         from repro.simulate.batch import batch_run
 
-        seeds = tuple(int(seed) for seed in args.seeds.split(","))
+        seeds = args.seeds
         spreads = batch_run(
             {
                 "subsystem_afr_pct": lambda ds: dataset_afr(ds).percent,

@@ -50,6 +50,14 @@ class ShockEstimate:
     n_events: int
 
 
+def _of_type(dataset: FailureDataset, failure_type: FailureType) -> FailureDataset:
+    """The dataset restricted to one failure type (a table select)."""
+    table = dataset.table
+    return FailureDataset(
+        events=table.select(table.type_mask(failure_type)), fleet=dataset.fleet
+    )
+
+
 def estimate_shock_share(
     dataset: FailureDataset,
     failure_type: FailureType,
@@ -63,10 +71,8 @@ def estimate_shock_share(
     estimate biases *low* when shocks hit only one bay (singleton
     "bursts" are invisible) and *high* at very high overall rates.
     """
-    typed = FailureDataset(
-        events=dataset.events_of_type(failure_type), fleet=dataset.fleet
-    )
-    total = len(typed.deduplicated().events)
+    typed = _of_type(dataset, failure_type)
+    total = len(typed.deduplicated())
     if total == 0:
         raise AnalysisError("no %s events" % failure_type.value)
     bursts = find_bursts(typed, "shelf", gap_threshold)
@@ -90,9 +96,7 @@ def estimate_hit_probability(
     Returns:
         The estimate, or None with fewer than 5 bursts.
     """
-    typed = FailureDataset(
-        events=dataset.events_of_type(failure_type), fleet=dataset.fleet
-    )
+    typed = _of_type(dataset, failure_type)
     bursts = find_bursts(typed, "shelf", gap_threshold)
     if len(bursts) < 5:
         return None
@@ -126,14 +130,12 @@ def estimate_shock_parameters(
     dataset: FailureDataset, failure_type: FailureType
 ) -> ShockEstimate:
     """Both estimates bundled, with their sample sizes."""
-    typed = FailureDataset(
-        events=dataset.events_of_type(failure_type), fleet=dataset.fleet
-    )
+    typed = _of_type(dataset, failure_type)
     bursts = find_bursts(typed, "shelf")
     return ShockEstimate(
         failure_type=failure_type,
         shock_share=estimate_shock_share(dataset, failure_type),
         hit_probability=estimate_hit_probability(dataset, failure_type),
         n_bursts=len(bursts),
-        n_events=len(typed.deduplicated().events),
+        n_events=len(typed.deduplicated()),
     )

@@ -104,15 +104,6 @@ REGISTRY: Dict[str, EnvVar] = {
             "cache (same as --cache-dir).",
         ),
         EnvVar(
-            name="REPRO_LEGACY_EVENTS",
-            kind="flag",
-            default="0",
-            consumer="repro.core.columns",
-            description="Force every analysis onto the legacy list-walking "
-            "path instead of the columnar EventTable path (the escape hatch "
-            "the differential golden tests flip).",
-        ),
-        EnvVar(
             name="REPRO_BENCH_ANALYSIS_SCALE",
             kind="float",
             default="0.5",

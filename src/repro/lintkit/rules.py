@@ -185,9 +185,8 @@ class EventsMaterialization(Rule):
         "The columnar EventTable (PR 5) keeps analyses vectorized; "
         "touching `.events` re-materializes per-event dataclasses and "
         "silently defeats it. Analysis modules aggregate over `.table` "
-        "columns; the legacy list-walking bodies kept for the "
-        "REPRO_LEGACY_EVENTS escape hatch are grandfathered in the "
-        "committed baseline."
+        "columns; only genuine per-event walks (export, rendering, "
+        "per-event draws) remain, grandfathered in the committed baseline."
     )
 
     #: The modules that *implement* the event storage are exempt.

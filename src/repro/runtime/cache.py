@@ -118,7 +118,12 @@ class ResultCache:
             try:
                 with open(path, "rb") as handle:
                     value = pickle.load(handle)
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            except Exception:
+                # Absent is a plain miss.  A corrupted or truncated entry
+                # can make the unpickler raise almost anything (ValueError
+                # on a bad opcode argument, KeyError, ImportError, ...):
+                # each is a miss too, and the entry is dropped so the
+                # rerun rewrites it.
                 self._remove_quietly(path)
             else:
                 self._memory[key] = value

@@ -20,8 +20,7 @@ test suite pins the tolerances) rather than on individual draws.
 
 ``REPRO_VECTOR_ENGINE=1`` routes :func:`make_engine` (and with it
 ``run_scenario`` and every experiment) through the vector engine; the
-legacy engine stays the default and the differential oracle, exactly
-like ``REPRO_LEGACY_EVENTS`` for the analysis side.
+legacy engine stays the default and the differential oracle.
 """
 
 from __future__ import annotations

@@ -26,6 +26,59 @@ class TestParser:
             build_parser().parse_args(["fly"])
 
 
+class TestArgumentValidation:
+    """Bad values exit 2 with argparse's one-line error, no traceback."""
+
+    BAD_ARGS = [
+        (["run", "fig4a", "--scale", "nan"], "--scale"),
+        (["run", "fig4a", "--scale", "inf"], "--scale"),
+        (["run", "fig4a", "--scale", "0"], "--scale"),
+        (["run", "fig4a", "--scale", "-0.2"], "--scale"),
+        (["run", "fig4a", "--scale", "big"], "--scale"),
+        (["run", "fig4a", "--seed", "-5"], "--seed"),
+        (["run", "fig4a", "--seed", "1.5"], "--seed"),
+        (["findings", "--jobs", "0"], "--jobs"),
+        (["findings", "--jobs", "-2"], "--jobs"),
+        (["run", "fig4a", "--shards", "0"], "--shards"),
+        (["run", "fig4a", "--shards", "33"], "--shards"),
+        (["batch", "--seeds", "1,-2"], "--seeds"),
+        (["fit-hazards", "trace.jsonl", "--seed", "-1"], "--seed"),
+    ]
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        BAD_ARGS,
+        ids=["%s%s=%s" % (argv[0], flag, argv[-1]) for argv, flag in BAD_ARGS],
+    )
+    def test_bad_value_exits_2(self, argv, fragment, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        error_lines = [line for line in err.splitlines() if "error:" in line]
+        assert len(error_lines) == 1
+        assert "argument %s" % fragment in error_lines[0]
+        assert "Traceback" not in err
+
+    def test_good_values_parse(self):
+        args = build_parser().parse_args(
+            ["run", "fig4a", "--scale", "0.2", "--seed", "0", "--jobs", "2",
+             "--shards", "32"]
+        )
+        assert (args.scale, args.seed, args.jobs, args.shards) == (0.2, 0, 2, 32)
+        args = build_parser().parse_args(["batch", "--seeds", "4,0"])
+        assert args.seeds == (4, 0)
+        assert build_parser().parse_args(["batch"]).seeds == (1, 2, 3)
+
+    @pytest.mark.parametrize("raw", ["0", "33", "four"])
+    def test_bad_repro_shards_default_exits_2(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_SHARDS", raw)
+        assert main(["run", "table1", "--scale", "0.004", "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "error: $REPRO_SHARDS" in err
+        assert "Traceback" not in err
+
+
 class TestMain:
     def test_list_output(self, capsys):
         assert main(["list"]) == 0

@@ -1,91 +1,63 @@
-"""Differential golden tests: columnar path == legacy path, exactly.
+"""Columnar event core: EventTable mechanics plus the analysis goldens.
 
-The columnar event core must be invisible in the numbers: every
-aggregation taken over the structure-of-arrays ``EventTable`` has to
-reproduce the legacy list-walking implementation byte for byte — same
-counts, same float AFRs, same pooled gap arrays (float summation is
-order-sensitive, so even the *order* of pooling must match), same
-findings, same rendered experiment text.  ``REPRO_LEGACY_EVENTS=1``
-flips the implementations on the same dataset objects, which is what
-these tests exercise across multiple seeds, directly simulated and via
-the AutoSupport log pipeline.
+Every aggregation over the structure-of-arrays ``EventTable`` must keep
+reproducing the reference numbers byte for byte — same counts, same
+float AFRs, same pooled gap arrays (float summation is order-sensitive,
+so even the *order* of pooling must match), same findings, same
+rendered experiment text.  The reference is the ``analysis`` section of
+tests/goldens/hazard_backend_goldens.json: digests recorded from the
+list-walking implementation the columnar analyses replaced, at seeds
+3, 5 and 7, directly simulated and via the AutoSupport log pipeline.
+The tests here replay that capture (tools/capture_hazard_goldens.py)
+and compare.
 """
 
 from __future__ import annotations
 
+import dataclasses as dc
+import importlib.util
+import json
+import os
 import pickle
 
 import numpy as np
 import pytest
 
-from repro.core.afr import afr_stack
-from repro.core.breakdown import afr_by_class
-from repro.core.bursts import find_bursts, summarize_bursts
-from repro.core.columns import (
-    LEGACY_EVENTS_ENV,
-    EventTable,
-    StringTable,
-    first_occurrence_ranks,
-    legacy_events_enabled,
-    use_columnar,
-)
-from repro.core.correlation import correlation_by_type, count_distribution
+from repro.core.columns import EventTable, StringTable, first_occurrence_ranks
 from repro.core.dataset import FailureDataset
-from repro.core.findings import evaluate_findings
-from repro.core.timebetween import gaps_by_scope
 from repro.errors import AnalysisError
-from repro.experiments import ExperimentContext, run_experiment
 from repro.failures.types import FAILURE_TYPE_ORDER
-from repro.simulate.scenario import run_scenario
 
-#: Small fleets, three seeds — enough events for every scope to repeat.
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDENS_PATH = os.path.join(
+    REPO_ROOT, "tests", "goldens", "hazard_backend_goldens.json"
+)
+CAPTURE_TOOL = os.path.join(REPO_ROOT, "tools", "capture_hazard_goldens.py")
+
+#: The seeds the analysis goldens were captured at.
 DIFF_SEEDS = (3, 5, 7)
-DIFF_SCALE = 0.005
 
 
-@pytest.fixture
-def legacy(monkeypatch):
-    monkeypatch.setenv(LEGACY_EVENTS_ENV, "1")
+def _capture_tool():
+    """Load tools/capture_hazard_goldens.py as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "capture_hazard_goldens", CAPTURE_TOOL
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
-def _on_both_paths(monkeypatch, fn):
-    """Run ``fn`` on the columnar then the legacy path; return both."""
-    monkeypatch.delenv(LEGACY_EVENTS_ENV, raising=False)
-    columnar = fn()
-    monkeypatch.setenv(LEGACY_EVENTS_ENV, "1")
-    legacy = fn()
-    monkeypatch.delenv(LEGACY_EVENTS_ENV, raising=False)
-    return columnar, legacy
+@pytest.fixture(scope="module")
+def committed():
+    with open(GOLDENS_PATH) as handle:
+        return json.load(handle)["analysis"]
 
 
-def _assert_identical(a, b, where=""):
-    """Deep exact equality, including dtype-exact numpy comparison."""
-    assert type(a) is type(b) or (
-        isinstance(a, (int, np.integer)) and isinstance(b, (int, np.integer))
-    ), "type mismatch at %s: %r vs %r" % (where, type(a), type(b))
-    if isinstance(a, np.ndarray):
-        assert a.shape == b.shape, "shape mismatch at %s" % where
-        assert np.array_equal(a, b), "array mismatch at %s" % where
-    elif isinstance(a, dict):
-        assert list(a.keys()) == list(b.keys()), "key mismatch at %s" % where
-        for key in a:
-            _assert_identical(a[key], b[key], "%s[%r]" % (where, key))
-    elif isinstance(a, (list, tuple)):
-        assert len(a) == len(b), "length mismatch at %s" % where
-        for i, (x, y) in enumerate(zip(a, b)):
-            _assert_identical(x, y, "%s[%d]" % (where, i))
-    else:
-        assert a == b, "value mismatch at %s: %r vs %r" % (where, a, b)
-
-
-class TestEscapeHatch:
-    def test_env_flag_flips_path(self, monkeypatch):
-        monkeypatch.delenv(LEGACY_EVENTS_ENV, raising=False)
-        assert use_columnar() and not legacy_events_enabled()
-        monkeypatch.setenv(LEGACY_EVENTS_ENV, "1")
-        assert legacy_events_enabled() and not use_columnar()
-        monkeypatch.setenv(LEGACY_EVENTS_ENV, "0")
-        assert use_columnar()
+@pytest.fixture(scope="module")
+def replayed():
+    """One fresh analysis capture shared by every golden comparison."""
+    return _capture_tool().capture_analysis()
 
 
 class TestEventTable:
@@ -145,124 +117,98 @@ class TestEventTable:
 
 
 class TestDatasetColumnarEquivalence:
-    """Method-level equality on the shared session dataset."""
+    """FailureDataset methods reproduce the recorded reference digests."""
 
-    def test_counts_by_type(self, small_dataset, monkeypatch):
-        col, leg = _on_both_paths(monkeypatch, small_dataset.counts_by_type)
-        _assert_identical(col, leg, "counts_by_type")
+    @staticmethod
+    def _check(method, replayed, committed):
+        for seed in committed["seeds"]:
+            key = str(seed)
+            assert (
+                replayed["dataset"][key][method]
+                == committed["dataset"][key][method]
+            ), "seed=%s" % key
 
-    def test_events_of_type(self, small_dataset, monkeypatch):
-        for failure_type in FAILURE_TYPE_ORDER:
-            col, leg = _on_both_paths(
-                monkeypatch,
-                lambda ft=failure_type: small_dataset.events_of_type(ft),
-            )
-            assert col == leg
+    def test_counts_by_type(self, replayed, committed):
+        self._check("counts_by_type", replayed, committed)
 
-    def test_filter_systems(self, small_dataset, monkeypatch):
-        predicate = lambda s: s.system_id.endswith(("0", "1"))  # noqa: E731
-        col, leg = _on_both_paths(
-            monkeypatch,
-            lambda: small_dataset.filter_systems(predicate).events,
-        )
-        assert col == leg
+    def test_events_of_type(self, replayed, committed):
+        self._check("events_of_type", replayed, committed)
 
-    def test_excluding_disk_family(self, small_dataset, monkeypatch):
-        col, leg = _on_both_paths(
-            monkeypatch,
-            lambda: small_dataset.excluding_disk_family().events,
-        )
-        assert col == leg
+    def test_filter_systems(self, replayed, committed):
+        self._check("filter_systems", replayed, committed)
 
-    def test_deduplicated(self, small_dataset, monkeypatch):
-        col, leg = _on_both_paths(
-            monkeypatch, lambda: small_dataset.deduplicated().events
-        )
-        assert col == leg
+    def test_excluding_disk_family(self, replayed, committed):
+        self._check("excluding_disk_family", replayed, committed)
 
-    def test_dedup_synthetic_chain(self, small_dataset, monkeypatch):
+    def test_deduplicated(self, replayed, committed):
+        self._check("deduplicated", replayed, committed)
+
+    def test_dedup_synthetic_chain(self, small_dataset):
         """A chain of near-duplicates exercises the last-KEPT window rule."""
-        import dataclasses as dc
-
         base = small_dataset.events[0]
-        chain = [
-            dc.replace(
+        other_type = next(
+            ft for ft in FAILURE_TYPE_ORDER if ft is not base.failure_type
+        )
+
+        def at(offset, **changes):
+            return dc.replace(
                 base,
                 occur_time=base.occur_time + offset,
                 detect_time=base.detect_time + offset,
+                **changes,
             )
-            # 0.6h apart: each is within an hour of the previous *report*
-            # but only every other one is within an hour of the last
-            # *kept* event — the semantics the mask must reproduce.
-            for offset in (2160.0, 4320.0, 6480.0)
+
+        # 0.6 h apart: each report is within an hour of the previous
+        # *report*, but only every other one is within an hour of the
+        # last *kept* report — so offsets 0 and 4320 s survive.
+        chain = [at(offset) for offset in (0.0, 2160.0, 4320.0, 6480.0)]
+        other_disk = at(100.0, disk_id=base.disk_id + "-other")
+        other_kind = at(1000.0, failure_type=other_type)
+        dataset = FailureDataset(
+            events=list(reversed(chain)) + [other_kind, other_disk],
+            fleet=small_dataset.fleet,
+        )
+        kept = dataset.deduplicated().events
+        assert [e.detect_time for e in kept] == [
+            base.detect_time + offset for offset in (0.0, 100.0, 1000.0, 4320.0)
         ]
-        events = sorted(
-            list(small_dataset.events) + chain, key=lambda e: e.detect_time
-        )
-        dataset = FailureDataset(events=events, fleet=small_dataset.fleet)
-        col, leg = _on_both_paths(
-            monkeypatch, lambda: dataset.deduplicated().events
-        )
-        assert col == leg
+        assert [e.disk_id for e in kept] == [
+            base.disk_id,
+            base.disk_id + "-other",
+            base.disk_id,
+            base.disk_id,
+        ]
+        assert kept[2].failure_type is other_type
 
 
 class TestAnalysisEquivalence:
-    """Aggregation-level equality across seeds and pipelines."""
+    """Aggregations reproduce the recorded reference digests."""
+
+    def test_goldens_cover_analysis_seeds(self, committed):
+        tool = _capture_tool()
+        assert committed["seeds"] == list(tool.ANALYSIS_SEEDS) == [3, 5, 7]
+        assert committed["scale"] == tool.ANALYSIS_SCALE
+        assert committed["logs_scale"] == tool.LOGS_SCALE
+        assert committed["experiment_scale"] == tool.SCALE
 
     @pytest.mark.parametrize("seed", DIFF_SEEDS)
-    def test_direct_simulation(self, seed, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        dataset = run_scenario(
-            "paper-default", scale=DIFF_SCALE, seed=seed
-        ).dataset
+    def test_direct_simulation(self, seed, replayed, committed):
+        assert replayed["direct"][str(seed)] == committed["direct"][str(seed)]
 
-        def aggregate():
-            return {
-                "counts": dataset.counts_by_type(),
-                "afr": afr_stack(dataset),
-                "by_class": afr_by_class(dataset),
-                "by_class_no_h": afr_by_class(dataset.excluding_disk_family()),
-                "gaps_shelf": gaps_by_scope(dataset, "shelf"),
-                "gaps_rg": gaps_by_scope(dataset, "raid_group"),
-                "bursts": find_bursts(dataset, "shelf"),
-                "burst_summary": summarize_bursts(dataset, "raid_group"),
-                "correlation": correlation_by_type(dataset, "shelf"),
-                "count_dist": count_distribution(dataset, None, "raid_group"),
-            }
+    def test_via_logs_pipeline(self, replayed, committed):
+        assert replayed["via_logs"] == committed["via_logs"]
 
-        col, leg = _on_both_paths(monkeypatch, aggregate)
-        _assert_identical(col, leg, "seed=%d" % seed)
-
-    def test_via_logs_pipeline(self, logged_sim, monkeypatch):
-        dataset = logged_sim.dataset
-
-        def aggregate():
-            return {
-                "counts": dataset.counts_by_type(),
-                "afr": afr_stack(dataset),
-                "gaps_shelf": gaps_by_scope(dataset, "shelf"),
-                "correlation": correlation_by_type(dataset, "shelf"),
-            }
-
-        col, leg = _on_both_paths(monkeypatch, aggregate)
-        _assert_identical(col, leg, "via_logs")
-
-    def test_findings_report(self, midsize_dataset, monkeypatch):
-        col, leg = _on_both_paths(
-            monkeypatch, lambda: evaluate_findings(midsize_dataset)
-        )
-        assert col == leg
+    def test_findings_report(self, replayed, committed):
+        assert replayed["findings"] == committed["findings"]
 
     @pytest.mark.parametrize("experiment_id", ["fig4a", "fig9a", "fig10a"])
-    def test_figure_experiments(self, experiment_id, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        context = ExperimentContext(scale=0.02, seed=1)
-        col, leg = _on_both_paths(
-            monkeypatch, lambda: run_experiment(experiment_id, context)
-        )
-        assert col.text == leg.text
-        _assert_identical(col.data, leg.data, experiment_id)
-        assert col.checks == leg.checks
+    def test_figure_experiments(self, experiment_id, replayed, committed):
+        for seed in committed["seeds"]:
+            key = str(seed)
+            assert (
+                replayed["experiments"][key][experiment_id]
+                == committed["experiments"][key][experiment_id]
+            ), "seed=%s" % key
 
 
 class TestSerialization:
@@ -278,12 +224,6 @@ class TestSerialization:
         assert restored.events == small_sim.injection.events
         assert restored.counts_by_type() == small_sim.injection.counts_by_type()
 
-    def test_old_format_state_tolerated(self, small_dataset):
-        stale = FailureDataset.__new__(FailureDataset)
-        stale.__setstate__(
-            {"events": list(small_dataset.events), "fleet": small_dataset.fleet}
-        )
-        assert stale.counts_by_type() == small_dataset.counts_by_type()
 
 
 class TestSortedness:
@@ -291,6 +231,7 @@ class TestSortedness:
         events = list(small_dataset.events)
         dataset = FailureDataset(events=events, fleet=small_dataset.fleet)
         assert dataset.events == events
+        assert all(a is b for a, b in zip(dataset.events, events))
 
     def test_unsorted_input_sorted_once(self, small_dataset):
         events = list(reversed(small_dataset.events))

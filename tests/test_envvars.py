@@ -15,7 +15,6 @@ import os
 import pytest
 
 from repro import envvars
-from repro.core.columns import legacy_events_enabled
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOC_PATH = os.path.join(REPO_ROOT, "docs", "ENVIRONMENT.md")
@@ -38,7 +37,7 @@ def test_known_variables_registered():
         "REPRO_PROFILE",
         "REPRO_PROFILE_DIR",
         "REPRO_CACHE_DIR",
-        "REPRO_LEGACY_EVENTS",
+        "REPRO_TRACE_WORKERS",
         "REPRO_BENCH_ANALYSIS_SCALE",
     ):
         assert name in envvars.REGISTRY
@@ -74,10 +73,12 @@ def test_get_returns_value_or_default(monkeypatch):
     ],
 )
 def test_get_flag_truthiness(monkeypatch, raw, expected):
-    monkeypatch.setenv("REPRO_LEGACY_EVENTS", raw)
-    assert envvars.get_flag("REPRO_LEGACY_EVENTS") is expected
-    # The columnar escape hatch reads through the registry.
-    assert legacy_events_enabled() is expected
+    monkeypatch.setenv("REPRO_TRACE_WORKERS", raw)
+    assert envvars.get_flag("REPRO_TRACE_WORKERS") is expected
+    # Empty means unset, so the default-on consumer reading stays on.
+    assert envvars.get_flag("REPRO_TRACE_WORKERS", default=True) is (
+        expected or raw == ""
+    )
 
 
 def test_get_float(monkeypatch):

@@ -131,6 +131,25 @@ class TestResultCache:
         assert fresh.get("aa") is MISSING
         assert not path.exists()  # cleaned up best-effort
 
+    @pytest.mark.parametrize("damage", ["bad_extension_code", "truncated"])
+    def test_damaged_entry_is_a_miss(self, tmp_path, damage):
+        cache = ResultCache(directory=str(tmp_path))
+        cache.put("aa", {"events": list(range(1000)), "label": "x" * 100})
+        path = tmp_path / "aa.pkl"
+        blob = bytearray(path.read_bytes())
+        if damage == "bad_extension_code":
+            # EXT1 with an unregistered code: the unpickler raises
+            # ValueError, not UnpicklingError.
+            blob[2:4] = b"\x82\xff"
+        else:
+            del blob[len(blob) // 2:]
+        path.write_bytes(bytes(blob))
+        fresh = ResultCache(directory=str(tmp_path))
+        assert fresh.get("aa") is MISSING
+        assert not path.exists()
+        fresh.put("aa", 2)
+        assert ResultCache(directory=str(tmp_path)).get("aa") == 2
+
 
 class TestRuntimeMetrics:
     def test_counters_and_default(self):

@@ -71,6 +71,31 @@ class TestWarmCache:
         assert "sim.runs" not in warm.err
         assert "cache.hit" in warm.err
 
+    @pytest.mark.parametrize("damage", ["bad_extension_code", "truncated"])
+    def test_damaged_entries_rerun_cleanly(self, tmp_path, capsys, damage):
+        base = [
+            "run", "table1",
+            "--scale", SCALE, "--seed", SEED,
+            "--cache-dir", str(tmp_path),
+        ]
+        clean_code = main(base)
+        clean = capsys.readouterr()
+        entries = sorted(tmp_path.glob("*.pkl"))
+        assert entries
+        for path in entries:
+            blob = bytearray(path.read_bytes())
+            if damage == "bad_extension_code":
+                blob[2:4] = b"\x82\xff"
+            else:
+                del blob[len(blob) // 2:]
+            path.write_bytes(bytes(blob))
+        rerun_code = main(base)
+        rerun = capsys.readouterr()
+        assert rerun_code == clean_code
+        assert rerun.out == clean.out
+        # Every damaged entry was a miss, so the rerun simulated again.
+        assert "sim.runs" in rerun.err
+
     def test_warm_cache_performs_zero_simulations(self, tmp_path):
         jobs = [
             Job.experiment(experiment_id, scale=float(SCALE), seed=int(SEED))
