@@ -49,7 +49,6 @@ it exits non-zero on regression, which is the CI gate.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import List, Optional, Tuple
 
@@ -59,7 +58,12 @@ from repro.core.report import format_findings, format_overview
 from repro.errors import ReproError, SpecificationError
 from repro.experiments import EXPERIMENTS
 from repro.fleet.partition import NUM_CELLS
-from repro.simulate.scenario import SCENARIOS, run_scenario
+from repro.simulate.scenario import (
+    SCENARIOS,
+    run_scenario,
+    validate_scale,
+    validate_seed,
+)
 from repro.version import __version__
 
 
@@ -79,22 +83,22 @@ def _number(text: str, parse, kind: str):
         ) from None
 
 
+def _validated(validate, value):
+    """``validate(value)``, its :class:`SpecificationError` as argparse's."""
+    try:
+        return validate(value)
+    except SpecificationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _scale(text: str) -> float:
     """``--scale``: a finite fleet scale above zero."""
-    scale = _number(text, float, "float")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise argparse.ArgumentTypeError(
-            "must be a finite number > 0, got %r" % text
-        )
-    return scale
+    return _validated(validate_scale, _number(text, float, "float"))
 
 
 def _seed(text: str) -> int:
     """``--seed``: a non-negative integer."""
-    seed = _number(text, int, "int")
-    if seed < 0:
-        raise argparse.ArgumentTypeError("must be >= 0, got %d" % seed)
-    return seed
+    return _validated(validate_seed, _number(text, int, "int"))
 
 
 def _seeds(text: str) -> Tuple[int, ...]:

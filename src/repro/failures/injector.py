@@ -43,6 +43,7 @@ from repro.failures.types import (
 )
 from repro.fleet import calibration, catalog
 from repro.fleet.fleet import Fleet
+from repro.heap import heap_guard
 from repro.raid.rebuild import RebuildModel
 from repro.rng import RandomSource
 from repro.topology.components import Disk, DiskSlot
@@ -319,7 +320,7 @@ class FailureInjector:
         """
         events: List[FailureEvent] = []
         recovered: List[ComponentError] = []
-        with obs.span("inject.fleet", systems=len(fleet.systems)):
+        with heap_guard(), obs.span("inject.fleet", systems=len(fleet.systems)):
             observing = obs.OBSERVER.registry.enabled
             for system in fleet.systems:
                 rng = random_source.stream("inject", system.system_id)

@@ -17,6 +17,7 @@ from repro import obs
 from repro.fleet import catalog
 from repro.fleet.fleet import Fleet
 from repro.fleet.spec import ClassSpec, FleetSpec
+from repro.heap import heap_guard
 from repro.rng import RandomSource
 from repro.topology.classes import SYSTEM_CLASS_ORDER, SystemClass
 from repro.topology.components import Disk, Shelf
@@ -58,7 +59,7 @@ def build_fleet(
         out per the spec's policy.
     """
     systems: List[StorageSystem] = []
-    with obs.span("fleet.build", scale=spec.scale):
+    with heap_guard(), obs.span("fleet.build", scale=spec.scale):
         for system_class in SYSTEM_CLASS_ORDER:
             if system_class not in spec.class_specs:
                 continue
@@ -82,7 +83,7 @@ def build_fleet(
             obs.inc(
                 "fleet.systems", len(indices), system_class=system_class.value
             )
-    fleet = Fleet(systems=systems, duration_seconds=spec.duration_seconds)
+        fleet = Fleet(systems=systems, duration_seconds=spec.duration_seconds)
     obs.set_gauge("fleet.disks", sum(s.slot_count for s in systems))
     return fleet
 

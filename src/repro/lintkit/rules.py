@@ -396,6 +396,46 @@ class UnorderedFloatReduction(Rule):
 
 
 @register
+class CollectorControl(Rule):
+    """RPL007: garbage-collector switching outside repro.heap."""
+
+    code = "RPL007"
+    title = "gc.disable/enable/freeze/unfreeze outside repro.heap"
+    rationale = (
+        "When the cyclic collector runs and which objects it may rescan "
+        "is one policy, kept in repro.heap.heap_guard: pause while a "
+        "long-lived graph is built or loaded, then freeze it. A stray "
+        "gc.enable() re-enables collection inside an outer guard, and a "
+        "stray gc.freeze() pins whatever garbage is alive at that moment. "
+        "gc.collect() stays allowed."
+    )
+
+    SWITCHES = ("gc.disable", "gc.enable", "gc.freeze", "gc.unfreeze")
+
+    def applies(self, module: SourceModule) -> bool:
+        return _in_repro(module) and module.module != "repro.heap"
+
+    def check(self, module: SourceModule) -> Iterator[Finding]:
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Attribute):
+                target = module.resolve(node)
+            elif isinstance(node, ast.Call) and isinstance(
+                node.func, ast.Name
+            ):
+                target = module.resolve(node.func)
+            else:
+                continue
+            if target in self.SWITCHES:
+                yield self.finding(
+                    module,
+                    node,
+                    "%s switches the garbage collector outside repro.heap; "
+                    "wrap the work in repro.heap.heap_guard() instead"
+                    % target,
+                )
+
+
+@register
 class MutableDefaultArg(Rule):
     """RPL901: mutable default argument."""
 

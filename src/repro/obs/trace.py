@@ -84,6 +84,9 @@ class NullSpan:
     def __exit__(self, *exc_info: object) -> None:
         return None
 
+    def annotate(self, **attrs: object) -> None:
+        return None
+
 
 NULL_SPAN = NullSpan()
 
@@ -123,6 +126,10 @@ class Span:
             self._profile.enable()
         self._start = time.perf_counter()
         return self
+
+    def annotate(self, **attrs: object) -> None:
+        """Add attributes known only once the span's work has run."""
+        self.attrs.update(attrs)
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         duration = time.perf_counter() - self._start

@@ -17,6 +17,10 @@ leaving state behind.
 Writes are atomic (temp file + ``os.replace``) so a concurrent reader
 never sees a torn pickle; unreadable entries are treated as misses and
 deleted best-effort.
+
+Pickling and unpickling run inside :func:`repro.heap.heap_guard`, so the
+garbage collector does not rescan a result graph of millions of
+objects while it is written or read, nor after it has been loaded.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import pickle
 import tempfile
 from typing import Dict, List, Optional
 
-from repro import envvars
+from repro import envvars, obs
+from repro.heap import heap_guard
 
 #: Soft cap on on-disk entries; the oldest (by mtime) are evicted first.
 DEFAULT_MAX_ENTRIES = 512
@@ -116,8 +121,7 @@ class ResultCache:
         if self.persist:
             path = self._path(key)
             try:
-                with open(path, "rb") as handle:
-                    value = pickle.load(handle)
+                value = self._load(path)
             except Exception:
                 # Absent is a plain miss.  A corrupted or truncated entry
                 # can make the unpickler raise almost anything (ValueError
@@ -161,7 +165,9 @@ class ResultCache:
             os.makedirs(self.directory, exist_ok=True)
             fd, temp_path = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                with obs.span("runtime.cache.put") as span, heap_guard():
+                    pickle.dump(value, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                    span.annotate(bytes=handle.tell())
             os.replace(temp_path, self._path(key))
         except OSError:
             if temp_path is not None:
@@ -215,6 +221,13 @@ class ResultCache:
         )
 
     # -- internals -------------------------------------------------------------
+
+    @staticmethod
+    def _load(path: str) -> object:
+        with open(path, "rb") as handle:
+            size = os.fstat(handle.fileno()).st_size
+            with obs.span("runtime.cache.get", bytes=size), heap_guard():
+                return pickle.load(handle)
 
     def _path(self, key: str) -> str:
         return os.path.join(self.directory, key + ".pkl")

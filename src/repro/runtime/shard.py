@@ -292,13 +292,13 @@ def run_sharded_scenario(
         and die in the workers).
 
     Raises:
-        SpecificationError: unknown scenario, ``via_logs=True``, or a
-            shard count below 1.
+        SpecificationError: unknown scenario, ``via_logs=True``, a shard
+            count below 1, or a scale or seed ``run_scenario`` rejects.
     """
     from repro.core.dataset import FailureDataset
     from repro.fleet.fleet import Fleet
     from repro.simulate.engine import SimulationResult
-    from repro.simulate.scenario import SCENARIOS
+    from repro.simulate.scenario import SCENARIOS, validate_scale, validate_seed
 
     if via_logs:
         raise SpecificationError(
@@ -312,6 +312,8 @@ def run_sharded_scenario(
         raise SpecificationError(
             "unknown scenario %r (have: %s)" % (name, ", ".join(sorted(SCENARIOS)))
         ) from None
+    validate_scale(scale)
+    validate_seed(seed)
     spec = scenario.make_spec(scale)
     plan = ShardPlan.build(spec, n_shards)
     spill_dir = spill_directory(runtime)

@@ -21,7 +21,10 @@ name, so benchmarks, examples, and the CLI share one vocabulary:
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Dict
+
+import numpy as np
 
 from repro.failures.injector import InjectorConfig
 from repro.failures.multipath import MultipathModel
@@ -98,6 +101,37 @@ SCENARIOS: Dict[str, Scenario] = {
 }
 
 
+def validate_scale(scale: float) -> float:
+    """``scale`` itself, if it is a finite number above zero.
+
+    Raises:
+        SpecificationError: for anything else (NaN, infinities, zero,
+            negatives, non-numbers).
+    """
+    try:
+        valid = math.isfinite(scale) and scale > 0.0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise SpecificationError(
+            "scale must be a finite number > 0, got %r" % (scale,)
+        )
+    return scale
+
+
+def validate_seed(seed: int) -> int:
+    """``seed`` itself, if it is a non-negative integer.
+
+    Raises:
+        SpecificationError: for negative or non-integer seeds.
+    """
+    if not isinstance(seed, (int, np.integer)):
+        raise SpecificationError("seed must be an integer, got %r" % (seed,))
+    if seed < 0:
+        raise SpecificationError("seed must be >= 0, got %d" % seed)
+    return seed
+
+
 def run_scenario(
     name: str,
     scale: float = 0.01,
@@ -117,7 +151,8 @@ def run_scenario(
             :func:`repro.fleet.builder.build_fleet`.
 
     Raises:
-        SpecificationError: for unknown scenario names.
+        SpecificationError: for unknown scenario names, and for a scale
+            or seed :func:`validate_scale` / :func:`validate_seed` reject.
     """
     try:
         scenario = SCENARIOS[name]
@@ -125,6 +160,8 @@ def run_scenario(
         raise SpecificationError(
             "unknown scenario %r (have: %s)" % (name, ", ".join(sorted(SCENARIOS)))
         ) from None
+    validate_scale(scale)
+    validate_seed(seed)
     engine = make_engine(
         spec=scenario.make_spec(scale),
         injector_config=scenario.make_config(),

@@ -25,8 +25,6 @@ legacy engine stays the default and the differential oracle.
 
 from __future__ import annotations
 
-import contextlib
-import gc
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -46,6 +44,7 @@ from repro.failures.types import (
 )
 from repro.fleet.fleet import Fleet
 from repro.fleet.spec import FleetSpec
+from repro.heap import heap_guard
 from repro.rng import RandomSource
 from repro.simulate.clock import SimulationClock
 from repro.simulate.engine import SimulationEngine
@@ -79,25 +78,6 @@ def vector_engine_enabled() -> bool:
     return envvars.get_flag(VECTOR_ENGINE_ENV)
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Suspend garbage collection for the duration of a batch.
-
-    At paper scale the fleet graph holds over a million long-lived
-    objects; the collector's generational threshold fires dozens of
-    times during one injection and rescans that graph each time, adding
-    ~30% wall time.  One deferred collection after the batch does the
-    same reclamation once.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 class VectorFailureInjector:
     """Cohort-batched failure injector (module docstring).
 
@@ -120,7 +100,7 @@ class VectorFailureInjector:
         config = self.config
         backend = self.backend
         window_end = fleet.duration_seconds
-        with _gc_paused():
+        with heap_guard():
             frame = build_frame(fleet)
             cohorts = group_cohorts(frame, config, backend)
             blocks: List[EventBlock] = []

@@ -12,11 +12,14 @@ object graph at the end of a run via :mod:`repro.simulate.vector.emit`.
 Topology (systems, shelves, slots, deployment times) never changes
 after :func:`~repro.fleet.builder.build_fleet`, so the frame is cached
 on the fleet object and reused across injections over the same fleet.
+The frame holds no reference back to the fleet: that cycle would pin
+the whole fleet graph once :func:`repro.heap.heap_guard` freezes it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import List
 
 import numpy as np
@@ -31,7 +34,6 @@ class FleetFrame:
     """Structure-of-arrays snapshot of a fleet's topology.
 
     Attributes:
-        fleet: the source fleet (kept for mutation write-back).
         sys_refs: systems in fleet order (row index = system index).
         sys_deploy: per-system deployment time, seconds.
         shelf_sys: per-shelf owning system index.
@@ -42,7 +44,6 @@ class FleetFrame:
         slot_shelf: per-slot owning shelf index.
     """
 
-    fleet: Fleet
     sys_refs: List[StorageSystem]
     sys_deploy: np.ndarray
     shelf_sys: np.ndarray
@@ -119,7 +120,11 @@ class FleetFrame:
 def build_frame(fleet: Fleet) -> FleetFrame:
     """Flatten (or fetch the cached flattening of) a fleet's topology."""
     cached = getattr(fleet, "_vector_frame", None)
-    if cached is not None and cached.fleet is fleet:
+    if (
+        cached is not None
+        and len(cached.sys_refs) == len(fleet.systems)
+        and all(map(operator.is_, cached.sys_refs, fleet.systems))
+    ):
         return cached
 
     sys_refs: List[StorageSystem] = list(fleet.systems)
@@ -137,7 +142,6 @@ def build_frame(fleet: Fleet) -> FleetFrame:
         shelf_refs
     ) else np.zeros(0, dtype=np.int64)
     frame = FleetFrame(
-        fleet=fleet,
         sys_refs=sys_refs,
         sys_deploy=np.asarray(
             [system.deploy_time for system in sys_refs], dtype=np.float64

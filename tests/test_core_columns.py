@@ -25,6 +25,7 @@ import pytest
 
 from repro.core.columns import EventTable, StringTable, first_occurrence_ranks
 from repro.core.dataset import FailureDataset
+from repro.core.timebetween import gaps_by_scope
 from repro.errors import AnalysisError
 from repro.failures.types import FAILURE_TYPE_ORDER
 
@@ -179,6 +180,32 @@ class TestDatasetColumnarEquivalence:
             base.disk_id,
         ]
         assert kept[2].failure_type is other_type
+
+    def test_gap_pooling_follows_first_failure(self, small_dataset):
+        """Gaps pool shelf by shelf in order of each shelf's first failure.
+
+        The shelf failing later is listed first, so its id is interned
+        first and also sorts first: pooling by string code (or by id)
+        instead of first-occurrence rank puts its gaps first.
+        """
+        base = small_dataset.events[0]
+
+        def at(offset, shelf_id):
+            return dc.replace(
+                base,
+                occur_time=base.occur_time + offset,
+                detect_time=base.detect_time + offset,
+                shelf_id=shelf_id,
+                disk_id="%s-disk-%d" % (shelf_id, offset),
+            )
+
+        late = [at(offset, "a-shelf") for offset in (1e5, 1.3e5, 1.7e5)]
+        early = [at(offset, "z-shelf") for offset in (0.0, 5e4, 5.1e4)]
+        dataset = FailureDataset(events=late + early, fleet=small_dataset.fleet)
+        assert dataset.table.shelf_ids.values == ["a-shelf", "z-shelf"]
+        assert gaps_by_scope(dataset, "shelf").tolist() == pytest.approx(
+            [5e4, 1e3, 3e4, 4e4]
+        )
 
 
 class TestAnalysisEquivalence:

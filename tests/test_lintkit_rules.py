@@ -7,6 +7,7 @@ the dotted module name derived from the path) are exercised too.
 
 from __future__ import annotations
 
+import os
 import textwrap
 
 from repro.lintkit import check_source
@@ -370,6 +371,67 @@ def test_rpl006_skips_dynamic_names():
             from repro import envvars
             a = envvars.get("REPRO_" + suffix)
             """
+        )
+        == []
+    )
+
+
+# -- RPL007: garbage-collector switching --------------------------------------
+
+HEAP = "src/repro/heap.py"
+with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), HEAP)) as _f:
+    HEAP_SOURCE = _f.read()
+
+
+def test_rpl007_heap_module_is_the_one_allowed_place():
+    assert codes(HEAP_SOURCE, relpath=HEAP) == []
+
+
+def test_rpl007_flags_guard_body_moved_out_of_heap():
+    # Seeded mutation: the real guard, pasted into the result cache.
+    assert codes(HEAP_SOURCE, relpath="src/repro/runtime/cache.py") == [
+        "RPL007"
+    ] * 4
+
+
+def test_rpl007_flags_direct_and_aliased_switches():
+    assert (
+        codes(
+            """\
+            import gc
+            from gc import freeze as pin
+            gc.disable()
+            gc.enable()
+            gc.unfreeze()
+            pin()
+            """
+        )
+        == ["RPL007"] * 4
+    )
+
+
+def test_rpl007_allows_collect_and_queries():
+    assert (
+        codes(
+            """\
+            import gc
+            gc.collect()
+            paused = not gc.isenabled()
+            frozen = gc.get_freeze_count()
+            """
+        )
+        == []
+    )
+
+
+def test_rpl007_out_of_scope_outside_repro():
+    assert (
+        codes(
+            """\
+            import gc
+            gc.disable()
+            """,
+            relpath="benchmarks/helper.py",
         )
         == []
     )

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.errors import AnalysisError, JobExecutionError, SpecificationError
 from repro.runtime import (
     MISSING,
@@ -149,6 +150,19 @@ class TestResultCache:
         assert not path.exists()
         fresh.put("aa", 2)
         assert ResultCache(directory=str(tmp_path)).get("aa") == 2
+
+    def test_disk_round_trip_spans_carry_entry_size(self, tmp_path):
+        obs.configure(enable=True)
+        cache = ResultCache(directory=str(tmp_path))
+        cache.put("aa", {"events": list(range(1000))})
+        assert cache.get("aa") is not MISSING  # memory hit: no span
+        assert ResultCache(directory=str(tmp_path)).get("aa") is not MISSING
+        assert ResultCache(directory=str(tmp_path)).get("bb") is MISSING
+        size = (tmp_path / "aa.pkl").stat().st_size
+        assert [(e["name"], e["attrs"]) for e in obs.events()] == [
+            ("runtime.cache.put", {"bytes": size}),
+            ("runtime.cache.get", {"bytes": size}),
+        ]
 
 
 class TestRuntimeMetrics:

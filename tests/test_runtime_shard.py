@@ -346,6 +346,16 @@ class TestRuntimeIntegration:
                 runtime=make_runtime(tmp_path), n_shards=2,
             )
 
+    @pytest.mark.parametrize(
+        "scale, seed", [(float("nan"), 7), (SCALE, -5)], ids=["nan", "neg-seed"]
+    )
+    def test_bad_scale_or_seed_rejected(self, scale, seed, tmp_path):
+        with pytest.raises(SpecificationError, match="scale|seed"):
+            run_sharded_scenario(
+                "paper-default", scale=scale, seed=seed,
+                runtime=make_runtime(tmp_path), n_shards=2,
+            )
+
     def test_vista_fleet_guards_object_graph_walks(self, tmp_path):
         sharded = run_sharded_scenario(
             "paper-default",

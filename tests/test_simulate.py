@@ -82,6 +82,29 @@ class TestScenarios:
         with pytest.raises(SpecificationError):
             run_scenario("warp-drive")
 
+    @pytest.mark.parametrize(
+        "kwargs, fragment",
+        [
+            ({"scale": float("nan")}, "scale"),
+            ({"scale": float("inf")}, "scale"),
+            ({"scale": 0.0}, "scale"),
+            ({"scale": -0.1}, "scale"),
+            ({"scale": "0.1"}, "scale"),
+            ({"seed": -5}, "seed"),
+            ({"seed": 1.5}, "seed"),
+        ],
+        ids=["nan", "inf", "zero", "negative", "string", "neg-seed", "float-seed"],
+    )
+    def test_bad_scale_or_seed_is_a_specification_error(self, kwargs, fragment):
+        with pytest.raises(SpecificationError, match=fragment):
+            run_scenario("paper-default", **kwargs)
+
+    def test_numpy_integer_seed_accepted(self):
+        import numpy as np
+
+        result = run_scenario("quick", scale=0.001, seed=np.int64(1))
+        assert result.seed == 1
+
     def test_quick_caps_scale(self):
         result = run_scenario("quick", scale=0.5, seed=1)
         assert result.fleet.system_count < 200
